@@ -74,12 +74,12 @@ impl From<NumError> for QueryError {
     }
 }
 
-/// Prices one aggregate item's reduction over the full selection.
+/// Prices one aggregate item's reduction over the full selection of `n`
+/// tuples whose input has decimal type `dec_ty` (`None` = not decimal).
 fn price_aggregation(
     ctx: &ExecCtx<'_>,
     f: AggFunc,
-    scalar: &Scalar,
-    vals: &[Value],
+    dec_ty: Option<DecimalType>,
     n: usize,
 ) -> ModeledTime {
     let mut m = ModeledTime::default();
@@ -92,10 +92,6 @@ fn price_aggregation(
         m.cpu_s += n as f64 * (n as f64).log2().max(1.0) * 2.0e-9 / cost.parallelism;
         return m;
     }
-    let dec_ty = match vals.first() {
-        Some(Value::Decimal(d)) => Some(d.dtype()),
-        _ => crate::plan::scalar_decimal_type(scalar),
-    };
     match (ctx.profile, dec_ty) {
         (Profile::UltraPrecise, Some(ty)) => {
             let out_ty = match f {
@@ -419,107 +415,67 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, Query
             None
         };
     let mut out_rows: Vec<Vec<Value>>;
-    let mut columns: Vec<String> = plan.items.iter().map(|i| i.name.clone()).collect();
-    let _ = &mut columns;
+    let columns: Vec<String> = plan.items.iter().map(|i| i.name.clone()).collect();
+
+    // 3a. Group.
+    let groups: Vec<Vec<usize>> = if !plan.has_aggregates {
+        Vec::new()
+    } else if plan.group_by.is_empty() {
+        vec![(0..n).collect()]
+    } else {
+        modeled.cpu_s += n as f64 * tuple_ns * 1e-9 / cost.parallelism;
+        group_tuples(&tables, &sel, &plan.group_by)
+    };
+
+    // Evaluates one plan slot over the selection — from the launch DAG
+    // when pipelined, inline otherwise — and folds its modeled time,
+    // kernels and tiers into the query's accumulators in serial plan
+    // order. An aggregate input's reduction is priced ONCE over the
+    // whole selection: the device reduces every group in the same
+    // multi-pass launch (§III-E2); only the functional fold is per group.
+    let mut eval_slot = |scalar: &Scalar, agg: Option<AggFunc>| -> Result<EvalColumn, QueryError> {
+        if let Some(it) = pipelined.as_mut() {
+            return Ok(merge_slot_out(
+                it.next().expect("one DAG node per evaluation slot"),
+                &mut modeled,
+                &mut kernels,
+                &mut tiers,
+                &mut compile_parts,
+            ));
+        }
+        let (col, mut m, k, t) = eval_scalar_column(ctx, scalar, &tables, &sel, n)?;
+        if m.compile_s > 0.0 {
+            compile_parts.push(m.compile_s);
+            m.compile_s = 0.0;
+        }
+        modeled.add(&m);
+        kernels += k;
+        tiers += t;
+        if let Some(f) = agg {
+            modeled.add(&price_aggregation(ctx, f, col.decimal_type_or(scalar), n));
+        }
+        Ok(col)
+    };
 
     if plan.has_aggregates {
-        // 3a. Group.
-        let mut groups: Vec<(Vec<String>, Vec<usize>)> = Vec::new();
-        if plan.group_by.is_empty() {
-            groups.push((Vec::new(), (0..n).collect()));
-        } else {
-            let mut map: HashMap<Vec<String>, usize> = HashMap::new();
-            for i in 0..n {
-                let key: Vec<String> = plan
-                    .group_by
-                    .iter()
-                    .map(|w| tuple_value(&tables, &sel, i, *w).render())
-                    .collect();
-                let gid = *map.entry(key.clone()).or_insert_with(|| {
-                    groups.push((key, Vec::new()));
-                    groups.len() - 1
-                });
-                groups[gid].1.push(i);
-            }
-            groups.sort_by(|a, b| a.0.cmp(&b.0));
-            modeled.cpu_s += n as f64 * tuple_ns * 1e-9 / cost.parallelism;
-        }
-
-        // 3b. Evaluate aggregate inputs once over all tuples, and price
-        // each item's reduction ONCE over the whole selection — the
-        // device reduces every group in the same multi-pass launch
-        // (§III-E2); only the functional fold below is per group.
-        // One entry per item; per aggregate slot: the evaluated input
-        // column (None = COUNT(*), needs no input).
-        let mut agg_inputs: Vec<Vec<Option<Vec<Value>>>> = Vec::new();
+        // 3b. Evaluate aggregate inputs once over all tuples. One entry
+        // per item; per aggregate slot: the evaluated input column (None
+        // = COUNT(*), needs no input).
+        let mut agg_inputs: Vec<Vec<Option<EvalColumn>>> = Vec::new();
         for item in &plan.items {
-            match &item.kind {
-                OutputKind::Agg(f, scalar) => {
-                    let vals = match pipelined.as_mut() {
-                        Some(it) => merge_slot_out(
-                            it.next().expect("one DAG node per aggregate input"),
-                            &mut modeled,
-                            &mut kernels,
-                            &mut tiers,
-                            &mut compile_parts,
-                        ),
-                        None => {
-                            let (vals, mut m, k, t) =
-                                eval_scalar_column(ctx, scalar, &tables, &sel, n)?;
-                            if m.compile_s > 0.0 {
-                                compile_parts.push(m.compile_s);
-                                m.compile_s = 0.0;
-                            }
-                            modeled.add(&m);
-                            kernels += k;
-                            tiers += t;
-                            modeled.add(&price_aggregation(ctx, *f, scalar, &vals, n));
-                            vals
-                        }
-                    };
-                    agg_inputs.push(vec![Some(vals)]);
-                }
-                OutputKind::AggCombo { aggs, .. } => {
-                    let mut agg_slots = Vec::with_capacity(aggs.len());
-                    for (f, scalar) in aggs {
-                        match scalar {
-                            Some(sc) => {
-                                let vals = match pipelined.as_mut() {
-                                    Some(it) => merge_slot_out(
-                                        it.next().expect("one DAG node per aggregate input"),
-                                        &mut modeled,
-                                        &mut kernels,
-                                        &mut tiers,
-                                        &mut compile_parts,
-                                    ),
-                                    None => {
-                                        let (vals, mut m, k, t) =
-                                            eval_scalar_column(ctx, sc, &tables, &sel, n)?;
-                                        if m.compile_s > 0.0 {
-                                            compile_parts.push(m.compile_s);
-                                            m.compile_s = 0.0;
-                                        }
-                                        modeled.add(&m);
-                                        kernels += k;
-                                        tiers += t;
-                                        modeled.add(&price_aggregation(ctx, *f, sc, &vals, n));
-                                        vals
-                                    }
-                                };
-                                agg_slots.push(Some(vals));
-                            }
-                            None => agg_slots.push(None),
-                        }
-                    }
-                    agg_inputs.push(agg_slots);
-                }
-                _ => agg_inputs.push(Vec::new()),
-            }
+            agg_inputs.push(match &item.kind {
+                OutputKind::Agg(f, scalar) => vec![Some(eval_slot(scalar, Some(*f))?)],
+                OutputKind::AggCombo { aggs, .. } => aggs
+                    .iter()
+                    .map(|(f, sc)| sc.as_ref().map(|sc| eval_slot(sc, Some(*f))).transpose())
+                    .collect::<Result<_, _>>()?,
+                _ => Vec::new(),
+            });
         }
 
         // 3c. Reduce per group.
         out_rows = Vec::with_capacity(groups.len());
-        for (_, members) in &groups {
+        for members in &groups {
             let mut row = Vec::with_capacity(plan.items.len());
             for (idx, item) in plan.items.iter().enumerate() {
                 let v = match &item.kind {
@@ -528,14 +484,14 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, Query
                     }
                     OutputKind::CountStar => Value::Int64(members.len() as i64),
                     OutputKind::Agg(f, _) => {
-                        let vals = agg_inputs[idx][0].as_ref().expect("inputs computed");
-                        aggregate_group_fleet(ctx, *f, vals, members)?
+                        let col = agg_inputs[idx][0].as_ref().expect("inputs computed");
+                        aggregate_group(ctx, *f, col, members)?
                     }
                     OutputKind::AggCombo { aggs, combo } => {
                         let mut agg_vals = Vec::with_capacity(aggs.len());
                         for (slot, (f, _)) in aggs.iter().enumerate() {
                             let v = match &agg_inputs[idx][slot] {
-                                Some(vals) => aggregate_group_fleet(ctx, *f, vals, members)?,
+                                Some(col) => aggregate_group(ctx, *f, col, members)?,
                                 None => Value::Int64(members.len() as i64),
                             };
                             agg_vals.push(v);
@@ -553,29 +509,7 @@ pub fn execute(plan: &QueryPlan, ctx: &ExecCtx<'_>) -> Result<QueryResult, Query
         let mut cols: Vec<Vec<Value>> = Vec::with_capacity(plan.items.len());
         for item in &plan.items {
             match &item.kind {
-                OutputKind::Scalar(s) => {
-                    let vals = match pipelined.as_mut() {
-                        Some(it) => merge_slot_out(
-                            it.next().expect("one DAG node per projection"),
-                            &mut modeled,
-                            &mut kernels,
-                            &mut tiers,
-                            &mut compile_parts,
-                        ),
-                        None => {
-                            let (vals, mut m, k, t) = eval_scalar_column(ctx, s, &tables, &sel, n)?;
-                            if m.compile_s > 0.0 {
-                                compile_parts.push(m.compile_s);
-                                m.compile_s = 0.0;
-                            }
-                            modeled.add(&m);
-                            kernels += k;
-                            tiers += t;
-                            vals
-                        }
-                    };
-                    cols.push(vals);
-                }
+                OutputKind::Scalar(s) => cols.push(eval_slot(s, None)?.into_values()),
                 OutputKind::Key(w) => {
                     cols.push((0..n).map(|i| tuple_value(&tables, &sel, i, *w)).collect());
                 }
@@ -786,16 +720,48 @@ fn cmp_values(a: &Value, b: &Value) -> core::cmp::Ordering {
     }
 }
 
-fn eval_pred(
-    p: &BoundPred,
-    tables: &[&Table],
+/// A string operand's cell, borrowed: a `Str` column's cell or a string
+/// literal. `None` for every other operand.
+fn operand_str<'t>(
+    op: &'t BoundOperand,
+    tables: &[&'t Table],
+    sel: &[Vec<u32>],
+    i: usize,
+) -> Option<&'t str> {
+    match op {
+        BoundOperand::Str(s) => Some(s),
+        BoundOperand::Col(w) => match &tables[w.table].columns[w.column] {
+            ColumnData::Str(v) => Some(&v[sel[w.table][i] as usize]),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Compares two operands of tuple `i`. String pairs compare borrowed
+/// cells; everything else goes through [`cmp_values`] unchanged.
+fn cmp_operands<'t>(
+    a: &'t BoundOperand,
+    b: &'t BoundOperand,
+    tables: &[&'t Table],
+    sel: &[Vec<u32>],
+    i: usize,
+) -> core::cmp::Ordering {
+    if let (Some(x), Some(y)) = (operand_str(a, tables, sel, i), operand_str(b, tables, sel, i)) {
+        return x.cmp(y);
+    }
+    cmp_values(&operand_value(a, tables, sel, i), &operand_value(b, tables, sel, i))
+}
+
+fn eval_pred<'t>(
+    p: &'t BoundPred,
+    tables: &[&'t Table],
     sel: &[Vec<u32>],
     i: usize,
 ) -> Result<bool, QueryError> {
     Ok(match p {
         BoundPred::Cmp(op, a, b) => {
-            let (va, vb) = (operand_value(a, tables, sel, i), operand_value(b, tables, sel, i));
-            let o = cmp_values(&va, &vb);
+            let o = cmp_operands(a, b, tables, sel, i);
             match op {
                 CmpOp::Eq => o == core::cmp::Ordering::Equal,
                 CmpOp::Ne => o != core::cmp::Ordering::Equal,
@@ -809,18 +775,13 @@ fn eval_pred(
         BoundPred::Or(a, b) => eval_pred(a, tables, sel, i)? || eval_pred(b, tables, sel, i)?,
         BoundPred::Not(a) => !eval_pred(a, tables, sel, i)?,
         BoundPred::Between(x, lo, hi) => {
-            let v = operand_value(x, tables, sel, i);
-            let l = operand_value(lo, tables, sel, i);
-            let h = operand_value(hi, tables, sel, i);
-            cmp_values(&v, &l) != core::cmp::Ordering::Less
-                && cmp_values(&v, &h) != core::cmp::Ordering::Greater
+            cmp_operands(x, lo, tables, sel, i) != core::cmp::Ordering::Less
+                && cmp_operands(x, hi, tables, sel, i) != core::cmp::Ordering::Greater
         }
-        BoundPred::Like(x, pat) => {
-            let Value::Str(s) = operand_value(x, tables, sel, i) else {
-                return Err(QueryError::Unsupported("LIKE on non-string".into()));
-            };
-            like_match(&s, pat)
-        }
+        BoundPred::Like(x, pat) => match operand_str(x, tables, sel, i) {
+            Some(s) => like_match(s, pat),
+            None => return Err(QueryError::Unsupported("LIKE on non-string".into())),
+        },
     })
 }
 
@@ -889,7 +850,60 @@ fn like_match(s: &str, pat: &str) -> bool {
 // Scalar column evaluation per profile
 // ---------------------------------------------------------------------
 
-type ScalarOut = (Vec<Value>, ModeledTime, usize, up_gpusim::TierCounters);
+/// A scalar evaluated over the selection: one cell per tuple.
+enum EvalColumn {
+    /// Decimal cells of one type kept in the compact `Lb`-byte form the
+    /// kernel wrote (§III-B2): a launch's output buffer, or a stored
+    /// decimal column gathered by the selection. Aggregates fold these
+    /// bytes directly; only results are decoded.
+    Compact {
+        /// The cells' type.
+        ty: DecimalType,
+        /// `ty.lb()` bytes per tuple.
+        bytes: Vec<u8>,
+    },
+    /// Decoded values: CPU scalars, CASE/CAST results and the
+    /// non-UltraPrecise profiles.
+    Values(Vec<Value>),
+}
+
+impl EvalColumn {
+    /// Tuple `i`'s value.
+    fn value(&self, i: usize) -> Value {
+        match self {
+            EvalColumn::Compact { ty, bytes } => {
+                let lb = ty.lb();
+                Value::Decimal(up_num::decode_compact(&bytes[i * lb..(i + 1) * lb], *ty))
+            }
+            EvalColumn::Values(vals) => vals[i].clone(),
+        }
+    }
+
+    /// Every tuple's value, decoded.
+    fn into_values(self) -> Vec<Value> {
+        match self {
+            EvalColumn::Compact { ty, bytes } => bytes
+                .chunks_exact(ty.lb())
+                .map(|c| Value::Decimal(up_num::decode_compact(c, ty)))
+                .collect(),
+            EvalColumn::Values(vals) => vals,
+        }
+    }
+
+    /// The decimal type an aggregate over this column is priced at: the
+    /// cells' type, else the first value's, else the scalar's static type.
+    fn decimal_type_or(&self, scalar: &Scalar) -> Option<DecimalType> {
+        match self {
+            EvalColumn::Compact { ty, .. } => Some(*ty),
+            EvalColumn::Values(vals) => match vals.first() {
+                Some(Value::Decimal(d)) => Some(d.dtype()),
+                _ => crate::plan::scalar_decimal_type(scalar),
+            },
+        }
+    }
+}
+
+type ScalarOut = (EvalColumn, ModeledTime, usize, up_gpusim::TierCounters);
 
 /// CPU arithmetic cost grows with the digit count, but sublinearly in
 /// measured systems (dispatch and allocation amortize the digit loops —
@@ -918,7 +932,7 @@ fn eval_scalar_column(
                 cpu_s: n as f64 * (tuple_ns + cost.per_op_ns) * 1e-9 / cost.parallelism,
                 ..Default::default()
             };
-            Ok((vals, m, 0, Default::default()))
+            Ok((EvalColumn::Values(vals), m, 0, Default::default()))
         }
         Scalar::Decimal { expr, inputs } => match ctx.profile {
             Profile::UltraPrecise if ctx.expr_tpi > 1 => {
@@ -948,19 +962,19 @@ fn eval_scalar_column(
                 for i in 0..n {
                     mask.push(eval_pred(pred, tables, sel, i)?);
                 }
-                let (vals, m, k, t) = eval_scalar_column(ctx, scalar, tables, sel, n)?;
+                let (col, m, k, t) = eval_scalar_column(ctx, scalar, tables, sel, n)?;
                 modeled.add(&m);
                 kernels += k;
                 tiers += t;
-                branch_cols.push((mask, vals));
+                branch_cols.push((mask, col.into_values()));
             }
             let else_vals = match else_ {
                 Some(s) => {
-                    let (vals, m, k, t) = eval_scalar_column(ctx, s, tables, sel, n)?;
+                    let (col, m, k, t) = eval_scalar_column(ctx, s, tables, sel, n)?;
                     modeled.add(&m);
                     kernels += k;
                     tiers += t;
-                    Some(vals)
+                    Some(col.into_values())
                 }
                 None => None,
             };
@@ -982,15 +996,16 @@ fn eval_scalar_column(
                 });
                 out.push(coerce_unified(v, *unified)?);
             }
-            Ok((out, modeled, kernels, tiers))
+            Ok((EvalColumn::Values(out), modeled, kernels, tiers))
         }
         Scalar::Cast { inner, ty } => {
-            let (vals, modeled, kernels, tiers) = eval_scalar_column(ctx, inner, tables, sel, n)?;
-            let out = vals
+            let (col, modeled, kernels, tiers) = eval_scalar_column(ctx, inner, tables, sel, n)?;
+            let out = col
+                .into_values()
                 .into_iter()
                 .map(|v| cast_value(v, *ty))
                 .collect::<Result<Vec<_>, _>>()?;
-            Ok((out, modeled, kernels, tiers))
+            Ok((EvalColumn::Values(out), modeled, kernels, tiers))
         }
     }
 }
@@ -1172,6 +1187,21 @@ fn is_identity(sel: &[u32], table_rows: usize) -> bool {
     sel.len() == table_rows && sel.iter().enumerate().all(|(i, &r)| r as usize == i)
 }
 
+/// A stored decimal column's compact cells for the selected rows: a
+/// kernel input buffer, or a passthrough aggregate input.
+fn gather_decimal(table: &Table, column: usize, sel: &[u32]) -> (Vec<u8>, DecimalType) {
+    let (bytes, ty) = table.columns[column].decimal_bytes();
+    if is_identity(sel, table.rows) {
+        return (bytes.to_vec(), ty);
+    }
+    let lb = ty.lb();
+    let mut g = Vec::with_capacity(sel.len() * lb);
+    for &r in sel {
+        g.extend_from_slice(&bytes[r as usize * lb..(r as usize + 1) * lb]);
+    }
+    (g, ty)
+}
+
 // ---------------------------------------------------------------------
 // Plan-level launch pipelining
 // ---------------------------------------------------------------------
@@ -1198,7 +1228,7 @@ fn collect_decimal_exprs<'a>(s: &'a Scalar, out: &mut Vec<&'a Expr>) {
 /// One DAG node's evaluated output, with the modeled time split the way
 /// the serial merge needs it back.
 struct SlotNodeOut {
-    vals: Vec<Value>,
+    col: EvalColumn,
     /// Evaluation time with `compile_s` already moved to `compile_part`.
     m: ModeledTime,
     /// This node's contribution to the query's single-TU compile fold.
@@ -1272,19 +1302,19 @@ fn eval_slots_pipelined(
     let job = |i: usize| -> Result<SlotNodeOut, QueryError> {
         let slot = &slots[i];
         let pre = handles[i].lock().expect("handle lock").take().map(|h| h.wait());
-        let (vals, mut m, kernels, tiers) = match (pre, slot.scalar) {
+        let (col, mut m, kernels, tiers) = match (pre, slot.scalar) {
             (Some(p), Scalar::Decimal { expr, inputs }) => {
                 eval_decimal_gpu_jit(ctx, expr, inputs, tables, sel, n, Some(p))?
             }
             _ => eval_scalar_column(ctx, slot.scalar, tables, sel, n)?,
         };
         let price = match slot.agg {
-            Some(f) => price_aggregation(ctx, f, slot.scalar, &vals, n),
+            Some(f) => price_aggregation(ctx, f, col.decimal_type_or(slot.scalar), n),
             None => ModeledTime::default(),
         };
         let compile_part = (m.compile_s > 0.0).then_some(m.compile_s);
         m.compile_s = 0.0;
-        Ok(SlotNodeOut { vals, m, compile_part, kernels, tiers, price })
+        Ok(SlotNodeOut { col, m, compile_part, kernels, tiers, price })
     };
 
     let results = run_dag(&deps, ctx.pipeline, job);
@@ -1362,7 +1392,7 @@ fn merge_slot_out(
     kernels: &mut usize,
     tiers: &mut up_gpusim::TierCounters,
     compile_parts: &mut Vec<f64>,
-) -> Vec<Value> {
+) -> EvalColumn {
     if let Some(c) = o.compile_part {
         compile_parts.push(c);
     }
@@ -1370,7 +1400,7 @@ fn merge_slot_out(
     *kernels += o.kernels;
     *tiers += o.tiers;
     modeled.add(&o.price);
-    o.vals
+    o.col
 }
 
 fn eval_decimal_gpu_jit(
@@ -1404,12 +1434,13 @@ fn eval_decimal_gpu_jit(
 
     match compiled {
         Compiled::Passthrough(Expr::Const(c)) => {
-            Ok((vec![Value::Decimal(c); n], modeled, 0, Default::default()))
+            let vals = vec![Value::Decimal(c); n];
+            Ok((EvalColumn::Values(vals), modeled, 0, Default::default()))
         }
         Compiled::Passthrough(Expr::Col { index, .. }) => {
             let w = inputs[index];
-            let vals = (0..n).map(|i| tuple_value(tables, sel, i, w)).collect();
-            Ok((vals, modeled, 0, Default::default()))
+            let (bytes, ty) = gather_decimal(tables[w.table], w.column, &sel[w.table]);
+            Ok((EvalColumn::Compact { ty, bytes }, modeled, 0, Default::default()))
         }
         Compiled::Passthrough(other) => Err(QueryError::Unsupported(format!(
             "unexpected passthrough {other:?}"
@@ -1419,18 +1450,7 @@ fn eval_decimal_gpu_jit(
             let mut mem = GlobalMem::new();
             let mut pcie_bytes: u64 = 0;
             for w in inputs {
-                let table = tables[w.table];
-                let (bytes, ty) = table.columns[w.column].decimal_bytes();
-                let buf = if is_identity(&sel[w.table], table.rows) {
-                    bytes.to_vec()
-                } else {
-                    let lb = ty.lb();
-                    let mut g = Vec::with_capacity(sel[w.table].len() * lb);
-                    for &r in &sel[w.table] {
-                        g.extend_from_slice(&bytes[r as usize * lb..(r as usize + 1) * lb]);
-                    }
-                    g
-                };
+                let (buf, _) = gather_decimal(tables[w.table], w.column, &sel[w.table]);
                 pcie_bytes += buf.len() as u64;
                 mem.add_buffer(buf);
             }
@@ -1468,16 +1488,10 @@ fn eval_decimal_gpu_jit(
             modeled.kernel_s += kt.total_s;
             modeled.pcie_s += ctx.device.pcie_time(pcie_bytes);
 
-            let out = mem.buffer(out_buf);
-            let vals = (0..n)
-                .map(|i| {
-                    Value::Decimal(up_num::decode_compact(
-                        &out[i * out_lb..(i + 1) * out_lb],
-                        k.out_ty,
-                    ))
-                })
-                .collect();
-            Ok((vals, modeled, 1, tiers))
+            // The output stays compact; consumers decode what they need.
+            let mut bytes = std::mem::take(mem.buffer_mut(out_buf));
+            bytes.truncate(n * out_lb);
+            Ok((EvalColumn::Compact { ty: k.out_ty, bytes }, modeled, 1, tiers))
         }
     }
 }
@@ -1540,7 +1554,8 @@ fn eval_decimal_gpu_mt(
     }
     // TPI kernels run through the analytic CGBN model, not the
     // instruction simulator — no tier to attribute.
-    Ok((vals.into_iter().map(Value::Decimal).collect(), modeled, 1, Default::default()))
+    let vals = vals.into_iter().map(Value::Decimal).collect();
+    Ok((EvalColumn::Values(vals), modeled, 1, Default::default()))
 }
 
 /// Bytes per value in a GPU baseline's representation.
@@ -1629,7 +1644,7 @@ fn eval_decimal_limited(
         * (tuple_ns + expr.op_count() as f64 * cost.per_op_ns * wf)
         * 1e-9
         / cost.parallelism;
-    Ok((vals, modeled, 0, Default::default()))
+    Ok((EvalColumn::Values(vals), modeled, 0, Default::default()))
 }
 
 fn eval_limited_expr(
@@ -1700,7 +1715,7 @@ fn eval_decimal_soft(
             / cost.parallelism,
         ..Default::default()
     };
-    Ok((vals, modeled, 0, Default::default()))
+    Ok((EvalColumn::Values(vals), modeled, 0, Default::default()))
 }
 
 fn eval_soft_expr(
@@ -1774,7 +1789,7 @@ fn eval_decimal_as_double(
             / cost.parallelism,
         ..Default::default()
     };
-    Ok((vals, modeled, 0, Default::default()))
+    Ok((EvalColumn::Values(vals), modeled, 0, Default::default()))
 }
 
 fn eval_f64_expr(e: &Expr, row: &[f64]) -> f64 {
@@ -1793,137 +1808,108 @@ fn eval_f64_expr(e: &Expr, row: &[f64]) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Aggregation
+// Grouping
 // ---------------------------------------------------------------------
 
-/// Data-parallel aggregation over the fleet: the group's members split
-/// into contiguous shards at the fleet's throughput-weighted range
-/// bounds (the scatter), each device folds its shard exactly as the
-/// serial path would (local exec), and the partial accumulators merge
-/// in fixed device order (the exchange+merge). Exact arithmetic makes
-/// the split associative — BigInt decimal sums, i64 sums, and
-/// comparisons are order-robust under contiguous regrouping — so the
-/// result is bit-identical to [`aggregate_group`]. Non-associative
-/// folds (Float64, COUNT DISTINCT) and tiny groups stay serial.
-fn aggregate_group_fleet(
-    ctx: &ExecCtx<'_>,
-    f: AggFunc,
-    vals: &[Value],
-    members: &[usize],
-) -> Result<Value, QueryError> {
-    let Some(fleet) = ctx.fleet else {
-        return aggregate_group(ctx, f, vals, members);
-    };
-    if fleet.len() < 2 || members.len() < fleet.len() {
-        return aggregate_group(ctx, f, vals, members);
-    }
-    let bounds = fleet.shard_bounds(members.len());
-    match (&vals[members[0]], f) {
-        (Value::Decimal(first), AggFunc::Sum | AggFunc::Avg) => {
-            let ty = first.dtype();
-            let n = members.len() as u64;
-            let out_ty = ty.sum_result(n);
-            if let Some(kind) = ctx.profile.limited_kind() {
-                // The capability check walks the running prefix in
-                // serial member order — it guards the *serial* engine's
-                // accumulator, so it must not be sharded.
-                let group: Vec<UpDecimal> = members
-                    .iter()
-                    .map(|&i| match &vals[i] {
-                        Value::Decimal(d) => d.clone(),
-                        other => panic!("mixed aggregate input {other:?}"),
-                    })
-                    .collect();
-                checked_limited_sum(kind, &group, out_ty)?;
-            }
-            let mut acc = up_num::BigInt::zero();
-            for w in bounds.windows(2) {
-                let mut part = up_num::BigInt::zero();
-                for &i in &members[w[0]..w[1]] {
-                    let Value::Decimal(d) = &vals[i] else {
-                        panic!("mixed aggregate input {:?}", vals[i])
-                    };
-                    part = part.add(&d.align_up(out_ty.scale));
+/// Dense codes for a sequence of keys: equal keys get equal codes,
+/// numbered in first-appearance order. Returns the codes and how many
+/// distinct keys there were.
+fn dense_codes<K: std::hash::Hash + Eq>(keys: impl Iterator<Item = K>) -> (Vec<u32>, u64) {
+    let mut map: HashMap<K, u32> = HashMap::new();
+    let codes = keys
+        .map(|k| {
+            let next = u32::try_from(map.len()).expect("a selection holds at most 2^32 tuples");
+            *map.entry(k).or_insert(next)
+        })
+        .collect();
+    (codes, map.len() as u64)
+}
+
+/// Per-tuple dense codes of one group-by key column. Two tuples get the
+/// same code exactly when their cells render equally: `Int64` by value,
+/// `Str` by the borrowed string, stored `Decimal` by its compact bytes
+/// (one type per column, and every zero cell — sign bit or not — maps to
+/// the all-zero cell), `Float64` through `render()` (so `0` and `-0`
+/// stay distinct groups).
+fn key_codes(table: &Table, column: usize, rows: &[u32]) -> (Vec<u32>, u64) {
+    match &table.columns[column] {
+        ColumnData::Int64(v) => dense_codes(rows.iter().map(|&r| v[r as usize])),
+        ColumnData::Str(v) => dense_codes(rows.iter().map(|&r| v[r as usize].as_str())),
+        ColumnData::Decimal { ty, bytes } => {
+            let lb = ty.lb();
+            let zero = vec![0u8; lb];
+            dense_codes(rows.iter().map(|&r| {
+                let cell = &bytes[r as usize * lb..(r as usize + 1) * lb];
+                if up_num::compact_sign(cell) == up_num::Sign::Zero {
+                    &zero[..]
+                } else {
+                    cell
                 }
-                acc = acc.add(&part);
-            }
-            let mut r = UpDecimal::from_parts_unchecked(acc, out_ty);
-            if f == AggFunc::Avg {
-                let divisor = UpDecimal::from_parts_unchecked(
-                    up_num::BigInt::from(n),
-                    DecimalType::avg_divisor(n),
-                );
-                r = r.div(&divisor)?;
-            }
-            Ok(Value::Decimal(r))
-        }
-        (Value::Decimal(_), AggFunc::Min | AggFunc::Max) => {
-            // Per-shard extremum, then the same fold over the partials
-            // in device order. `min_by`/`max_by` keep the *last* tied
-            // element, which the two-level fold preserves.
-            let mut partials: Vec<UpDecimal> = Vec::with_capacity(fleet.len());
-            for w in bounds.windows(2) {
-                let shard = members[w[0]..w[1]].iter().map(|&i| match &vals[i] {
-                    Value::Decimal(d) => d,
-                    other => panic!("mixed aggregate input {other:?}"),
-                });
-                let ext = if f == AggFunc::Min {
-                    shard.min_by(|a, b| a.cmp_value(b))
-                } else {
-                    shard.max_by(|a, b| a.cmp_value(b))
-                };
-                partials.push(ext.expect("non-empty shard").clone());
-            }
-            let v = if f == AggFunc::Min {
-                partials.iter().min_by(|a, b| a.cmp_value(b))
-            } else {
-                partials.iter().max_by(|a, b| a.cmp_value(b))
-            };
-            Ok(Value::Decimal(v.expect("non-empty").clone()))
-        }
-        (Value::Int64(_), AggFunc::Sum) => {
-            let mut total = 0i64;
-            for w in bounds.windows(2) {
-                let part: i64 = members[w[0]..w[1]]
-                    .iter()
-                    .map(|&i| match vals[i] {
-                        Value::Int64(v) => v,
-                        _ => panic!("mixed aggregate input"),
-                    })
-                    .sum();
-                total += part;
-            }
-            Ok(Value::Int64(total))
-        }
-        (Value::Int64(_), AggFunc::Min | AggFunc::Max) => {
-            let mut partials: Vec<i64> = Vec::with_capacity(fleet.len());
-            for w in bounds.windows(2) {
-                let shard = members[w[0]..w[1]].iter().map(|&i| match vals[i] {
-                    Value::Int64(v) => v,
-                    _ => panic!("mixed aggregate input"),
-                });
-                partials.push(if f == AggFunc::Min {
-                    shard.min().expect("non-empty shard")
-                } else {
-                    shard.max().expect("non-empty shard")
-                });
-            }
-            Ok(Value::Int64(if f == AggFunc::Min {
-                *partials.iter().min().expect("non-empty")
-            } else {
-                *partials.iter().max().expect("non-empty")
             }))
         }
-        // f64 folds are not associative and COUNT (DISTINCT) needs the
-        // whole group anyway — serial path, still bit-identical.
-        _ => aggregate_group(ctx, f, vals, members),
+        ColumnData::Float64(v) => {
+            dense_codes(rows.iter().map(|&r| Value::Float64(v[r as usize]).render()))
+        }
     }
 }
 
+/// Groups the selection by `keys`: each group's member tuples, in
+/// ascending tuple order, with the groups sorted by their rendered keys.
+///
+/// Each key column is coded densely. The first column's codes are the
+/// group ids so far; every further column pairs a tuple's group id with
+/// its code there into one `u64` code, `gid · card + code`, and codes
+/// those densely again. Dense codes are `u32` and a column has at most
+/// `2^32` distinct codes, so the pair can never overflow `u64`. Each
+/// group's key is rendered once, for the sort.
+fn group_tuples(tables: &[&Table], sel: &[Vec<u32>], keys: &[WideCol]) -> Vec<Vec<usize>> {
+    let mut coded = keys.iter().map(|w| key_codes(tables[w.table], w.column, &sel[w.table]));
+    let (mut gids, mut count) = coded.next().expect("GROUP BY names a key");
+    for (codes, card) in coded {
+        (gids, count) =
+            dense_codes(gids.iter().zip(&codes).map(|(&g, &c)| g as u64 * card + c as u64));
+    }
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); count as usize];
+    for (i, &g) in gids.iter().enumerate() {
+        groups[g as usize].push(i);
+    }
+    let mut keyed: Vec<(Vec<String>, Vec<usize>)> = groups
+        .into_iter()
+        .map(|members| {
+            let key = keys
+                .iter()
+                .map(|w| tuple_value(tables, sel, members[0], *w).render())
+                .collect();
+            (key, members)
+        })
+        .collect();
+    keyed.sort_by(|a, b| a.0.cmp(&b.0));
+    keyed.into_iter().map(|(_, members)| members).collect()
+}
+
+// ---------------------------------------------------------------------
+// Aggregation
+// ---------------------------------------------------------------------
+
+/// Reduces one group of an aggregate-input column.
+///
+/// With a fleet installed, the group's members split into contiguous
+/// shards at the fleet's throughput-weighted range bounds (the scatter),
+/// each device folds its shard (local exec), and the partials merge in
+/// fixed device order (the exchange+merge); without one the whole group
+/// is a single shard. Exact arithmetic makes the split associative —
+/// decimal and i64 sums and comparisons are order-robust under
+/// contiguous regrouping — so the result is bit-identical for every
+/// fleet size. Non-associative folds (Float64, COUNT DISTINCT) always
+/// run over the whole group.
+///
+/// Compact decimal columns fold straight from their bytes: sums through
+/// [`up_num::CompactSum`], MIN/MAX through [`up_num::compact_cmp`]; only
+/// the group's result is decoded.
 fn aggregate_group(
     ctx: &ExecCtx<'_>,
     f: AggFunc,
-    vals: &[Value],
+    col: &EvalColumn,
     members: &[usize],
 ) -> Result<Value, QueryError> {
     if members.is_empty() {
@@ -1938,104 +1924,168 @@ fn aggregate_group(
     if f == AggFunc::CountDistinct {
         let mut seen = std::collections::HashSet::new();
         for &i in members {
-            seen.insert(vals[i].render());
+            seen.insert(col.value(i).render());
         }
         return Ok(Value::Int64(seen.len() as i64));
     }
-    // Homogeneous value kinds per column.
-    match &vals[members[0]] {
-        Value::Decimal(first) => {
-            let ty = first.dtype();
-            let group: Vec<UpDecimal> = members
-                .iter()
-                .map(|&i| match &vals[i] {
-                    Value::Decimal(d) => d.clone(),
-                    other => panic!("mixed aggregate input {other:?}"),
-                })
-                .collect();
-            let n = group.len() as u64;
-            let v = match f {
-                AggFunc::Sum | AggFunc::Avg => {
-                    let out_ty = ty.sum_result(n);
-                    if let Some(kind) = ctx.profile.limited_kind() {
-                        // Value-based capability: the running accumulator
-                        // must fit the engine's word width (the *type* may
-                        // exceed the declared cap — real sums often fit).
-                        checked_limited_sum(kind, &group, out_ty)?;
-                    }
-                    let mut acc = up_num::BigInt::zero();
-                    for v in &group {
-                        acc = acc.add(&v.align_up(out_ty.scale));
-                    }
-                    let mut r = UpDecimal::from_parts_unchecked(acc, out_ty);
-                    if f == AggFunc::Avg {
-                        let divisor = UpDecimal::from_parts_unchecked(
-                            up_num::BigInt::from(n),
-                            DecimalType::avg_divisor(n),
-                        );
-                        r = r.div(&divisor)?;
-                    }
-                    r
-                }
-                AggFunc::Min => group
-                    .iter()
-                    .min_by(|a, b| a.cmp_value(b))
-                    .expect("non-empty")
-                    .clone(),
-                AggFunc::Max => group
-                    .iter()
-                    .max_by(|a, b| a.cmp_value(b))
-                    .expect("non-empty")
-                    .clone(),
-                AggFunc::Count | AggFunc::CountDistinct => unreachable!(),
-            };
-            Ok(Value::Decimal(v))
+    let n = members.len() as u64;
+    let bounds = match ctx.fleet {
+        Some(fleet) if fleet.len() >= 2 && members.len() >= fleet.len() => {
+            fleet.shard_bounds(members.len())
         }
-        Value::Int64(_) => {
-            let nums: Vec<i64> = members
-                .iter()
-                .map(|&i| match vals[i] {
+        _ => vec![0, members.len()],
+    };
+    let shards = || bounds.windows(2).map(|w| &members[w[0]..w[1]]);
+    match col {
+        EvalColumn::Compact { ty, bytes } => {
+            let lb = ty.lb();
+            let cell = |i: usize| &bytes[i * lb..(i + 1) * lb];
+            match f {
+                AggFunc::Sum | AggFunc::Avg => {
+                    // Only UltraPrecise launches keep columns compact, so
+                    // no limited-profile capability check applies here.
+                    debug_assert!(ctx.profile.limited_kind().is_none());
+                    let out_ty = ty.sum_result(n);
+                    let mut total = up_num::CompactSum::new(*ty);
+                    for shard in shards() {
+                        let mut part = up_num::CompactSum::new(*ty);
+                        for &i in shard {
+                            part.add(cell(i));
+                        }
+                        total.merge(&part);
+                    }
+                    finish_decimal_sum(f, total.finish(), out_ty, n)
+                }
+                _ => {
+                    let i = extremum(f, shards(), |a, b| up_num::compact_cmp(cell(a), cell(b)));
+                    Ok(Value::Decimal(up_num::decode_compact(cell(i), *ty)))
+                }
+            }
+        }
+        EvalColumn::Values(vals) => match &vals[members[0]] {
+            Value::Decimal(first) => {
+                let dec = |i: usize| match &vals[i] {
+                    Value::Decimal(d) => d,
+                    other => panic!("mixed aggregate input {other:?}"),
+                };
+                match f {
+                    AggFunc::Sum | AggFunc::Avg => {
+                        let out_ty = first.dtype().sum_result(n);
+                        if let Some(kind) = ctx.profile.limited_kind() {
+                            // Value-based capability: the running
+                            // accumulator must fit the engine's word width
+                            // (the *type* may exceed the declared cap —
+                            // real sums often fit). It walks the serial
+                            // member order, so it is never sharded.
+                            checked_limited_sum(kind, members.iter().map(|&i| dec(i)), out_ty)?;
+                        }
+                        let mut acc = up_num::BigInt::zero();
+                        for shard in shards() {
+                            let mut part = up_num::BigInt::zero();
+                            for &i in shard {
+                                part = part.add(&dec(i).align_up(out_ty.scale));
+                            }
+                            acc = acc.add(&part);
+                        }
+                        finish_decimal_sum(f, acc, out_ty, n)
+                    }
+                    _ => {
+                        let i = extremum(f, shards(), |a, b| dec(a).cmp_value(dec(b)));
+                        Ok(Value::Decimal(dec(i).clone()))
+                    }
+                }
+            }
+            Value::Int64(_) => {
+                let int = |i: usize| match vals[i] {
                     Value::Int64(v) => v,
                     _ => panic!("mixed aggregate input"),
+                };
+                Ok(match f {
+                    AggFunc::Sum | AggFunc::Avg => {
+                        let total: i64 =
+                            shards().map(|s| s.iter().map(|&i| int(i)).sum::<i64>()).sum();
+                        if f == AggFunc::Sum {
+                            Value::Int64(total)
+                        } else {
+                            Value::Float64(total as f64 / n as f64)
+                        }
+                    }
+                    _ => Value::Int64(int(extremum(f, shards(), |a, b| int(a).cmp(&int(b))))),
                 })
-                .collect();
-            Ok(match f {
-                AggFunc::Sum => Value::Int64(nums.iter().sum()),
-                AggFunc::Avg => Value::Float64(nums.iter().sum::<i64>() as f64 / nums.len() as f64),
-                AggFunc::Min => Value::Int64(*nums.iter().min().expect("non-empty")),
-                AggFunc::Max => Value::Int64(*nums.iter().max().expect("non-empty")),
-                AggFunc::Count | AggFunc::CountDistinct => unreachable!(),
-            })
-        }
-        Value::Float64(_) => {
-            let nums: Vec<f64> = members
-                .iter()
-                .map(|&i| match vals[i] {
-                    Value::Float64(v) => v,
-                    _ => panic!("mixed aggregate input"),
+            }
+            Value::Float64(_) => {
+                let nums: Vec<f64> = members
+                    .iter()
+                    .map(|&i| match vals[i] {
+                        Value::Float64(v) => v,
+                        _ => panic!("mixed aggregate input"),
+                    })
+                    .collect();
+                Ok(match f {
+                    AggFunc::Sum => Value::Float64(nums.iter().sum()),
+                    AggFunc::Avg => Value::Float64(nums.iter().sum::<f64>() / nums.len() as f64),
+                    AggFunc::Min => {
+                        Value::Float64(nums.iter().copied().fold(f64::INFINITY, f64::min))
+                    }
+                    AggFunc::Max => {
+                        Value::Float64(nums.iter().copied().fold(f64::NEG_INFINITY, f64::max))
+                    }
+                    AggFunc::Count | AggFunc::CountDistinct => unreachable!(),
                 })
-                .collect();
-            Ok(match f {
-                AggFunc::Sum => Value::Float64(nums.iter().sum()),
-                AggFunc::Avg => Value::Float64(nums.iter().sum::<f64>() / nums.len() as f64),
-                AggFunc::Min => {
-                    Value::Float64(nums.iter().copied().fold(f64::INFINITY, f64::min))
-                }
-                AggFunc::Max => {
-                    Value::Float64(nums.iter().copied().fold(f64::NEG_INFINITY, f64::max))
-                }
-                AggFunc::Count | AggFunc::CountDistinct => unreachable!(),
-            })
-        }
-        other => Err(QueryError::Unsupported(format!("aggregate over {other:?}"))),
+            }
+            other => Err(QueryError::Unsupported(format!("aggregate over {other:?}"))),
+        },
     }
+}
+
+/// The tuple holding a group's MIN or MAX under `cmp`: the extremum of
+/// each shard, then the same fold over the shard partials in device
+/// order. Ties keep the first minimum and the last maximum
+/// (`Iterator::min_by`/`max_by`), which the two-level fold preserves.
+fn extremum<'m>(
+    f: AggFunc,
+    shards: impl Iterator<Item = &'m [usize]>,
+    cmp: impl Fn(usize, usize) -> core::cmp::Ordering,
+) -> usize {
+    fn pick(
+        f: AggFunc,
+        it: impl Iterator<Item = usize>,
+        cmp: &impl Fn(usize, usize) -> core::cmp::Ordering,
+    ) -> usize {
+        let best = if f == AggFunc::Min {
+            it.min_by(|&a, &b| cmp(a, b))
+        } else {
+            it.max_by(|&a, &b| cmp(a, b))
+        };
+        best.expect("non-empty")
+    }
+    let partials: Vec<usize> = shards.map(|s| pick(f, s.iter().copied(), &cmp)).collect();
+    pick(f, partials.into_iter(), &cmp)
+}
+
+/// A decimal `SUM` result from its exact unscaled total, or the `AVG`
+/// obtained by dividing it by the `DECIMAL(floor(log₁₀ n)+1, 0)` count
+/// (§III-B3).
+fn finish_decimal_sum(
+    f: AggFunc,
+    total: up_num::BigInt,
+    out_ty: DecimalType,
+    n: u64,
+) -> Result<Value, QueryError> {
+    let mut r = UpDecimal::from_parts_unchecked(total, out_ty);
+    if f == AggFunc::Avg {
+        let divisor =
+            UpDecimal::from_parts_unchecked(up_num::BigInt::from(n), DecimalType::avg_divisor(n));
+        r = r.div(&divisor)?;
+    }
+    Ok(Value::Decimal(r))
 }
 
 /// Verifies a limited engine can hold the running sum: every aligned
 /// addend and the accumulator must fit the engine's magnitude limit.
-fn checked_limited_sum(
+fn checked_limited_sum<'v>(
     kind: up_baselines::LimitedKind,
-    group: &[UpDecimal],
+    group: impl Iterator<Item = &'v UpDecimal>,
     out_ty: DecimalType,
 ) -> Result<(), QueryError> {
     let engine = LimitedEngine::new(kind);

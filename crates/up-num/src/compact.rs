@@ -12,6 +12,7 @@ use crate::decimal::UpDecimal;
 use crate::dtype::DecimalType;
 use crate::limbs;
 use crate::NumError;
+use core::cmp::Ordering;
 
 /// The word-aligned register-resident form: `Lw` little-endian 32-bit
 /// words plus a sign byte (`Decimal<N>` in the paper's generated code).
@@ -110,6 +111,162 @@ pub fn decode_compact(bytes: &[u8], ty: DecimalType) -> UpDecimal {
         Sign::Plus
     };
     UpDecimal::from_parts_unchecked(BigInt::from_sign_mag(sign, words), ty)
+}
+
+/// Whether a compact cell's magnitude (every bit but the sign bit) is
+/// zero.
+fn compact_mag_is_zero(cell: &[u8]) -> bool {
+    let (&last, rest) = cell.split_last().expect("a compact cell has Lb >= 1 bytes");
+    last & 0x7f == 0 && rest.iter().all(|&b| b == 0)
+}
+
+/// Sign of a compact cell without decoding it. A cell with the sign bit
+/// set and a zero magnitude is zero, exactly as [`decode_compact`] reads
+/// it.
+pub fn compact_sign(cell: &[u8]) -> Sign {
+    if compact_mag_is_zero(cell) {
+        Sign::Zero
+    } else if cell[cell.len() - 1] & 0x80 != 0 {
+        Sign::Minus
+    } else {
+        Sign::Plus
+    }
+}
+
+/// Compares the magnitudes of two equal-length compact cells, most
+/// significant byte first.
+fn compact_cmp_mag(a: &[u8], b: &[u8]) -> Ordering {
+    let n = a.len();
+    (a[n - 1] & 0x7f)
+        .cmp(&(b[n - 1] & 0x7f))
+        .then_with(|| a[..n - 1].iter().rev().cmp(b[..n - 1].iter().rev()))
+}
+
+/// Compares two compact cells of one type by value, without decoding:
+/// the same total order as [`UpDecimal::cmp_value`] on the decoded
+/// values (negative zero equals zero).
+pub fn compact_cmp(a: &[u8], b: &[u8]) -> Ordering {
+    assert_eq!(a.len(), b.len(), "compact_cmp compares cells of one type");
+    let negative = |c: &[u8]| c[c.len() - 1] & 0x80 != 0;
+    // With equal sign bits the magnitudes decide, negative zero
+    // included; with opposite ones only two zeros tie.
+    let zeros = || compact_mag_is_zero(a) && compact_mag_is_zero(b);
+    match (negative(a), negative(b)) {
+        (false, false) => compact_cmp_mag(a, b),
+        (true, true) => compact_cmp_mag(b, a),
+        (true, false) if !zeros() => Ordering::Less,
+        (false, true) if !zeros() => Ordering::Greater,
+        _ => Ordering::Equal,
+    }
+}
+
+/// The most significant magnitude word of a compact cell: its bytes
+/// from `4·(ceil(Lb/4) − 1)` on, sign bit masked off.
+#[inline]
+fn top_word(cell: &[u8]) -> u32 {
+    let lb = cell.len();
+    let lo = 4 * ((lb - 1) / 4);
+    let mut b = [0u8; 4];
+    b[..lb - lo].copy_from_slice(&cell[lo..]);
+    b[lb - 1 - lo] &= 0x7f;
+    u32::from_le_bytes(b)
+}
+
+/// Adds (`add_carry`) or subtracts (`sub_borrow`) a cell's magnitude
+/// into two's-complement `words`, carrying as far as needed. Every
+/// magnitude word but the top one is four whole bytes that never hold
+/// the sign bit.
+#[inline(always)]
+fn fold_words(words: &mut [u32], cell: &[u8], step: impl Fn(u32, u32, &mut bool) -> u32) {
+    let top = cell.len().div_ceil(4) - 1;
+    let (low, high) = words.split_at_mut(top);
+    let mut carry = false;
+    for (w, b) in low.iter_mut().zip(cell.chunks_exact(4)) {
+        *w = step(*w, u32::from_le_bytes([b[0], b[1], b[2], b[3]]), &mut carry);
+    }
+    high[0] = step(high[0], top_word(cell), &mut carry);
+    for w in high[1..].iter_mut() {
+        if !carry {
+            break;
+        }
+        *w = step(*w, 0, &mut carry);
+    }
+}
+
+/// A fixed-width two's-complement sum of compact cells of one type.
+/// Adding a cell is one carry chain over fixed-width words, the cheap
+/// way to add midsize integers, so a fold never allocates.
+///
+/// Width: a cell's magnitude is below `2^(8·Lb − 1)` and fits
+/// `ceil(Lb/4)` words. One more word is row headroom: the carries of up
+/// to `2^32` cells. A final sign word keeps the two's-complement total
+/// unambiguous. So no sequence of at most `2^32` adds and subtracts can
+/// overflow it, and [`CompactSum::finish`] is exact.
+#[derive(Clone, Debug)]
+pub struct CompactSum {
+    lb: usize,
+    /// Two's-complement total, least significant word first.
+    words: Vec<u32>,
+    /// Cells folded in, including merged partials (bounded by the row
+    /// headroom).
+    rows: u64,
+}
+
+impl CompactSum {
+    /// An empty sum for cells of type `ty`.
+    pub fn new(ty: DecimalType) -> Self {
+        let lb = ty.lb();
+        CompactSum { lb, words: vec![0; lb.div_ceil(4) + 2], rows: 0 }
+    }
+
+    /// Adds one compact cell.
+    pub fn add(&mut self, cell: &[u8]) {
+        self.fold(cell, false);
+    }
+
+    /// Subtracts one compact cell.
+    pub fn sub(&mut self, cell: &[u8]) {
+        self.fold(cell, true);
+    }
+
+    fn fold(&mut self, cell: &[u8], negate: bool) {
+        assert_eq!(cell.len(), self.lb, "CompactSum folds cells of its own type");
+        self.rows += 1;
+        assert!(self.rows <= 1 << 32, "CompactSum row headroom exhausted");
+        if (cell[self.lb - 1] & 0x80 != 0) != negate {
+            fold_words(&mut self.words, cell, limbs::sub_borrow);
+        } else {
+            fold_words(&mut self.words, cell, limbs::add_carry);
+        }
+    }
+
+    /// Adds another partial sum of the same type into this one.
+    pub fn merge(&mut self, other: &CompactSum) {
+        assert_eq!(self.lb, other.lb, "CompactSum merges sums of its own type");
+        self.rows += other.rows;
+        assert!(self.rows <= 1 << 32, "CompactSum row headroom exhausted");
+        // Two's-complement words add modulo 2^(32·len); the carry out of
+        // the sign word is dropped.
+        limbs::add_assign(&mut self.words, &other.words);
+    }
+
+    /// The exact total as a normalized [`BigInt`].
+    pub fn finish(&self) -> BigInt {
+        let negative = self.words.last().is_some_and(|&w| w & 0x8000_0000 != 0);
+        if !negative {
+            return BigInt::from_sign_mag(Sign::Plus, self.words.clone());
+        }
+        // Magnitude of a negative total: invert and add one.
+        let mut mag: Vec<u32> = self.words.iter().map(|w| !w).collect();
+        let mut carry = true;
+        for w in mag.iter_mut() {
+            if !carry {
+                break;
+            }
+            *w = limbs::add_carry(*w, 0, &mut carry);
+        }
+        BigInt::from_sign_mag(Sign::Minus, mag)
+    }
 }
 
 /// Expands a compact buffer straight to the word-aligned form (what the

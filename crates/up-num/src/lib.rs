@@ -29,7 +29,10 @@ pub mod mul;
 pub mod pow10;
 
 pub use bigint::{BigInt, Sign};
-pub use compact::{decode_compact, encode_compact, encode_compact_into, expand_compact, WordRepr};
+pub use compact::{
+    compact_cmp, compact_sign, decode_compact, encode_compact, encode_compact_into, expand_compact,
+    CompactSum, WordRepr,
+};
 pub use decimal::UpDecimal;
 pub use dtype::{lb_for_precision, lw_for_precision, max_precision_for_lw, DecimalType, DIV_EXTRA_SCALE};
 
